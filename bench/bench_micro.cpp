@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // simulator event throughput, metric synthesis, learner training, the
-// parallel ML training path (cross-validation, synopsis bank) and the
-// per-window online decision. The online numbers put hard bounds on the
-// paper's "no more than 50 ms for each on-line decision" claim for this
-// implementation.
+// parallel ML training path (cross-validation, synopsis bank), the
+// per-window online decision and the wire frame checksum. The online
+// numbers put hard bounds on the paper's "no more than 50 ms for each
+// on-line decision" claim for this implementation.
 //
 // Usage: bench_micro [--threads N] [google-benchmark flags]
 //   --threads N caps the util/parallel pool (default: hardware threads);
@@ -26,6 +26,7 @@
 #include "ml/evaluate.h"
 #include "ml/svm.h"
 #include "ml/tan.h"
+#include "net/protocol.h"
 #include "sim/event_queue.h"
 #include "sim/tier.h"
 #include "util/parallel.h"
@@ -293,6 +294,20 @@ void BM_CoordinatedDecisionMasked(benchmark::State& state) {
     benchmark::DoNotOptimize(monitor.observe_masked(rows, valid));
 }
 BENCHMARK(BM_CoordinatedDecisionMasked);
+
+void BM_Crc32(benchmark::State& state) {
+  // The v2 frame checksum over 48 bytes (an ACK or DECISION frame body),
+  // 341 bytes (a one-tick SAMPLE_BATCH) and 21,050 bytes (a 64-tick
+  // SAMPLE_BATCH). bytes/s inverts to the per-byte cost every frame pays
+  // once on each side of the socket.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> buf(n);
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(buf));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(48)->Arg(341)->Arg(21050);
 
 }  // namespace
 

@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace hpcap::net {
 
 namespace {
@@ -26,25 +30,130 @@ void check_version(std::uint8_t version) {
                         std::to_string(version));
 }
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic byte table for the
+// reflected IEEE polynomial; kCrcTables[k][i] is the CRC of byte i followed
+// by k zero bytes, so eight lookups advance the CRC by eight bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// Advances the un-inverted CRC state `c` over n bytes, eight at a time.
+std::uint32_t crc32_slice8(std::uint32_t c, const std::uint8_t* p,
+                           std::size_t n) noexcept {
+  const auto& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+        t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+        t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+  return c;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HPCAP_CRC32_CLMUL 1
+
+__m128i load128(const std::uint8_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// One 128-bit fold step: x.lo * k.lo ^ x.hi * k.hi ^ next.
+__attribute__((target("pclmul"))) __m128i fold128(__m128i x, __m128i k,
+                                                  __m128i next) noexcept {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+// Folds n bytes (n >= 64, a multiple of 16) into the un-inverted CRC state
+// with carry-less multiplies: four 128-bit lanes fold 64 bytes per step,
+// then collapse to one lane, fold the remaining 16-byte blocks, and
+// Barrett-reduce to 32 bits. Constants are x^k mod P for the reflected
+// IEEE polynomial (Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ Instruction", Intel, 2009).
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
+    std::uint32_t c, const std::uint8_t* p, std::size_t n) noexcept {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5k0 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x1 =
+      _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = load128(p + 16);
+  __m128i x3 = load128(p + 32);
+  __m128i x4 = load128(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x1 = fold128(x1, k1k2, load128(p));
+    x2 = fold128(x2, k1k2, load128(p + 16));
+    x3 = fold128(x3, k1k2, load128(p + 32));
+    x4 = fold128(x4, k1k2, load128(p + 48));
+  }
+  x1 = fold128(x1, k3k4, x2);
+  x1 = fold128(x1, k3k4, x3);
+  x1 = fold128(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold128(x1, k3k4, load128(p));
+
+  // 128 -> 64 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5k0, 0x00),
+      _mm_srli_si128(x1, 4));
+  // Barrett reduction 64 -> 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+bool cpu_has_clmul() noexcept {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+#endif
 
 }  // namespace
 
+std::uint32_t crc32_slicing(std::span<const std::uint8_t> data) noexcept {
+  return crc32_slice8(0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
+}
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+#ifdef HPCAP_CRC32_CLMUL
+  static const bool has_clmul = cpu_has_clmul();
+  if (has_clmul && data.size() >= 64) {
+    const std::size_t folded = data.size() & ~std::size_t{15};
+    const std::uint32_t c = crc32_clmul(0xFFFFFFFFu, data.data(), folded);
+    return crc32_slice8(c, data.data() + folded, data.size() - folded) ^
+           0xFFFFFFFFu;
+  }
+#endif
+  return crc32_slicing(data);
 }
 
 // --- writer --------------------------------------------------------------

@@ -140,8 +140,16 @@ class ProtocolError : public std::runtime_error {
 
 // CRC-32 (IEEE 802.3 / zlib polynomial, reflected) over `data`. The v2
 // frame trailer; exposed so tests and the chaos harness can forge or
-// verify frames byte-for-byte.
+// verify frames byte-for-byte. On x86-64 CPUs with PCLMULQDQ (detected
+// once at first call) inputs of 64 bytes or more are folded 64 bytes at
+// a time with carry-less multiplies; everything else, and the tail under
+// 16 bytes, goes through crc32_slicing. Both give the same IEEE/zlib
+// value, so the wire bytes do not depend on the CPU.
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
+
+// The portable slicing-by-8 path of crc32, declared so tests can check it
+// on hosts where crc32 itself folds every input of 64 bytes or more.
+std::uint32_t crc32_slicing(std::span<const std::uint8_t> data) noexcept;
 
 struct FrameHeader {
   std::uint8_t version = kProtocolVersion;

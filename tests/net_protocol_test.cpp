@@ -67,6 +67,60 @@ TEST(NetProtocol, Crc32MatchesReferenceCheckValue) {
   EXPECT_EQ(crc32({}), 0x00000000u);
 }
 
+// Bit-at-a-time CRC-32 straight from the definition (reflected
+// 0xEDB88320): the reference both crc32 paths must equal. Works on the
+// un-inverted state so a test can extend it one byte at a time.
+std::uint32_t crc32_bitwise_step(std::uint32_t c, std::uint8_t byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  return c;
+}
+
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) c = crc32_bitwise_step(c, b);
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes pseudo_random_bytes(std::size_t n) {
+  Bytes out(n);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : out) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(x >> 56);
+  }
+  return out;
+}
+
+TEST(NetProtocol, Crc32PathsMatchBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..1024 at every start offset 0..15 covers the short
+  // (slicing) inputs, the 64-byte fold threshold, each 16-byte fold tail
+  // and misaligned loads; crc32_slicing is checked on its own so the
+  // portable path stays covered on CPUs where crc32 folds.
+  constexpr std::size_t kMaxLen = 1024;
+  constexpr std::size_t kOffsets = 16;
+  const Bytes buf = pseudo_random_bytes(kMaxLen + kOffsets);
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> in(buf.data() + off, len);
+      const std::uint32_t want = state ^ 0xFFFFFFFFu;
+      ASSERT_EQ(crc32(in), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32_slicing(in), want)
+          << "offset " << off << " length " << len;
+      if (len < kMaxLen) state = crc32_bitwise_step(state, buf[off + len]);
+    }
+  }
+  // A 64-tick frame (~21 KB) and a frame body just under the 4 MiB cap.
+  for (const std::size_t n :
+       {std::size_t{21050}, kHeaderSize + kMaxPayload - 3}) {
+    const Bytes big = pseudo_random_bytes(n);
+    const std::uint32_t want = crc32_bitwise(big);
+    EXPECT_EQ(crc32(big), want) << "length " << n;
+    EXPECT_EQ(crc32_slicing(big), want) << "length " << n;
+  }
+}
+
 TEST(NetProtocol, GoldenHelloRequestBytesV1) {
   HelloRequest req;
   req.agent = "a";
@@ -559,31 +613,44 @@ TEST(NetProtocol, EverySingleByteFlipOnV2FrameIsDetected) {
   // The CRC trailer exists so silent corruption can never alter a value:
   // flip each byte of a v2 frame in turn and the assembler must reject
   // the frame (header validation or checksum mismatch — never a clean
-  // decode of damaged bytes).
+  // decode of damaged bytes). Two frames: a short ACK (the CRC's slicing
+  // path) and a multi-tick SAMPLE_BATCH of well over 64 bytes (its fold
+  // path, on CPUs that have one).
   AckFrame ack{0x1122334455667788ull, 42};
-  const Bytes good = encode_ack(ack, 2);
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    for (const std::uint8_t flip :
-         {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
-      Bytes bad = good;
-      bad[i] = static_cast<std::uint8_t>(bad[i] ^ flip);
-      FrameAssembler asm_;
-      asm_.append(bad.data(), bad.size());
-      bool rejected = false;
-      try {
-        while (auto f = asm_.next()) {
-          ADD_FAILURE() << "flipped byte " << i
-                        << " yielded a complete frame";
+  SampleBatch batch;
+  batch.batch_seq = 7;
+  batch.first_tick = 100;
+  for (int t = 0; t < 4; ++t) {
+    const double x = static_cast<double>(t);
+    batch.ticks.push_back(
+        {{{true, {1.0 + x, -2.5, 1e-9}}, {t != 2, {0.25, 3.0, x}}}});
+  }
+  const Bytes batch_frame = encode_sample_batch(batch, 2);
+  ASSERT_GE(batch_frame.size(), kHeaderSize + 64u + kCrcSize);
+  for (const Bytes& good : {encode_ack(ack, 2), batch_frame}) {
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      for (const std::uint8_t flip :
+           {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+        Bytes bad = good;
+        bad[i] = static_cast<std::uint8_t>(bad[i] ^ flip);
+        FrameAssembler asm_;
+        asm_.append(bad.data(), bad.size());
+        bool rejected = false;
+        try {
+          while (auto f = asm_.next()) {
+            ADD_FAILURE() << "flipped byte " << i
+                          << " yielded a complete frame";
+          }
+        } catch (const ProtocolError&) {
+          rejected = true;
         }
-      } catch (const ProtocolError&) {
-        rejected = true;
-      }
-      // Growing the claimed payload length just leaves the assembler
-      // waiting for bytes that never come — also safe. Everything else
-      // must have thrown.
-      if (!rejected) {
-        EXPECT_GT(asm_.buffered(), 0u)
-            << "flipped byte " << i << " was silently accepted";
+        // Growing the claimed payload length just leaves the assembler
+        // waiting for bytes that never come — also safe. Everything else
+        // must have thrown.
+        if (!rejected) {
+          EXPECT_GT(asm_.buffered(), 0u)
+              << "flipped byte " << i << " was silently accepted";
+        }
       }
     }
   }

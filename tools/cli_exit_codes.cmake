@@ -1,4 +1,5 @@
 # Exit-code contract of the resilient CLI (tools/hpcapctl.cpp header):
+#   0  every decision of the streamed trace arrived
 #   2  usage error (strict parsing of the resilience flags)
 #   3  transport failure (daemon unreachable / lost, budget exhausted)
 #   5  daemon rejected the session
@@ -11,6 +12,9 @@ function(run_expect want what)
   execute_process(COMMAND ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL ${want})
+    if(DEFINED daemon_pid)  # do not leave the background daemon running
+      execute_process(COMMAND kill ${daemon_pid})
+    endif()
     message(FATAL_ERROR "${what}: expected exit ${want}, got '${rc}'")
   endif()
   message(STATUS "${what}: exit ${rc} (ok)")
@@ -76,5 +80,20 @@ run_expect(5 "stream with mismatched tier count"
 run_expect(5 "stream with mismatched tier count and retries"
            ${HPCAPCTL} stream --port ${port} --trace nope.csv --num-tiers 9
            --retries 2 --backoff-ms 10 --deadline-s 1)
+
+# --- a full stream in several batches: every batch after the first must
+# carry a fresh sequence number, or the daemon drops it as a resend and
+# the client times out waiting for decisions (exit 1). The interleaved
+# trace holds more ticks than one default 64-tick batch.
+set(trace "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_interleaved.csv")
+execute_process(COMMAND ${HPCAPCTL} collect --out ${trace}
+                        --workload interleaved
+                RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  execute_process(COMMAND kill ${daemon_pid})
+  message(FATAL_ERROR "hpcapctl collect failed: ${rc}")
+endif()
+run_expect(0 "stream of a multi-batch trace with the default --batch"
+           ${HPCAPCTL} stream --port ${port} --trace ${trace})
 
 execute_process(COMMAND kill ${daemon_pid})

@@ -494,7 +494,12 @@ int cmd_stream(const Args& args) {
     std::size_t used = 0;
     std::uint32_t tick = 0;
     for (const auto& rec : records) {
-      if (used == 0) pending.first_tick = tick;
+      if (used == 0) {
+        pending.first_tick = tick;
+        // send_batch stamps the next sequence only while batch_seq is 0;
+        // a stale one would make the daemon drop this batch as a resend.
+        pending.batch_seq = 0;
+      }
       net::Tick& t = pending.ticks[used++];
       const auto rows = testbed::monitor_rows(rec, level);
       const auto validity = testbed::monitor_row_validity(rec, level);
